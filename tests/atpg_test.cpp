@@ -7,6 +7,7 @@
 //   * PODEM and the D-algorithm agree on testability.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
 
 #include "atpg/compact.h"
@@ -19,6 +20,7 @@
 #include "circuits/random_circuit.h"
 #include "circuits/sequential.h"
 #include "circuits/sn74181.h"
+#include "fault/threaded_fault_sim.h"
 #include "netlist/bench_io.h"
 
 namespace dft {
@@ -369,6 +371,51 @@ TEST(Engine, CompactionShrinksTestSet) {
   EXPECT_LE(a.tests.size(), b.tests.size());
   EXPECT_DOUBLE_EQ(a.test_coverage(), 1.0);
   EXPECT_DOUBLE_EQ(b.test_coverage(), 1.0);
+}
+
+// Every fault ends up in exactly one class: detected by the final tests,
+// redundant, or aborted. The rand2k-class benchmark circuit at backtrack
+// limit 3 exercises both ways this can break: aborted faults that the
+// final tests detect anyway, and cross-dropped faults whose detecting fill
+// is lost when compaction merges and refills cubes.
+TEST(Engine, PartitionsEveryFaultOnceUnderDeductiveReplay) {
+  RandomCircuitSpec spec;
+  spec.num_inputs = 40;
+  spec.num_outputs = 24;
+  spec.num_gates = 2000;
+  spec.max_fanin = 4;
+  spec.seed = 7;
+  const Netlist nl = read_bench_string(
+      write_bench_string(make_random_combinational(spec)), "atpg_rand");
+  const auto faults = collapse_faults(nl).representatives;
+  AtpgOptions opt;
+  opt.backtrack_limit = 3;
+  const AtpgRun run = run_atpg(nl, faults, opt);
+  ASSERT_TRUE(run.remaining.empty());
+  ASSERT_FALSE(run.aborted.empty());
+
+  const FaultSimResult replay = make_fault_sim_engine(nl, "deductive", 1)
+                                    ->run(run.tests, faults, false);
+  EXPECT_EQ(replay.num_detected, run.detected);
+  std::map<Fault, std::size_t> index;
+  for (std::size_t i = 0; i < faults.size(); ++i) index[faults[i]] = i;
+  std::vector<int> listed(faults.size(), 0);
+  for (const auto* list : {&run.redundant, &run.aborted}) {
+    for (const Fault& f : *list) {
+      const auto it = index.find(f);
+      ASSERT_NE(it, index.end()) << fault_name(nl, f);
+      ++listed[it->second];
+      EXPECT_LT(replay.first_detected_by[it->second], 0)
+          << "classified fault is detected: " << fault_name(nl, f);
+    }
+  }
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    EXPECT_EQ(listed[i] + (replay.first_detected_by[i] >= 0 ? 1 : 0), 1)
+        << fault_name(nl, faults[i]);
+  }
+  EXPECT_EQ(static_cast<std::size_t>(run.detected) + run.redundant.size() +
+                run.aborted.size(),
+            faults.size());
 }
 
 }  // namespace
