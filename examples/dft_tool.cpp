@@ -4,10 +4,14 @@
 //   dft_tool scoap   <file.bench> [N]      N hardest nets (default 10)
 //   dft_tool faults  <file.bench>          fault universe / collapsing
 //   dft_tool atpg    <file.bench> [--threads N] [--engine E]
-//                    [--time-budget-ms M] [--retry-aborted]
+//                    [--time-budget-ms M] [--backtrack-limit L]
+//                    [--retry-aborted]
 //                                          full ATPG run + test vectors;
 //                                          N >= 1 fault-sim workers
 //                                          (default 1);
+//                                          L >= 0 PODEM backtracks per
+//                                          fault before it is aborted
+//                                          (default 100000);
 //                                          E = serial|ppsfp|deductive|event
 //                                          (default event; every engine
 //                                          gives identical results);
@@ -86,10 +90,12 @@
 //
 // Exit codes: 0 success, 1 runtime failure (including lint errors), 2 usage
 // error, 3 budget expired / interrupted with a valid partial result.
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -129,7 +135,8 @@ int usage() {
                "usage: dft_tool {stats|scoap|faults|atpg|scan} <file.bench> "
                "[arg]\n       dft_tool atpg <file.bench> [--threads N] "
                "[--engine serial|ppsfp|deductive|event]\n"
-               "                     [--time-budget-ms M] [--retry-aborted]\n"
+               "                     [--time-budget-ms M] "
+               "[--backtrack-limit L] [--retry-aborted]\n"
                "       dft_tool bist <file.bench> [--patterns N] "
                "[--threads N] [--engine E]\n"
                "                     [--time-budget-ms M]\n"
@@ -186,10 +193,17 @@ struct ObsFlags {
   std::string progress_path;         // empty = stderr
 };
 
+// A whole-string decimal int; out-of-range values are rejected, not
+// truncated (4294967299 must not read as 3).
 bool parse_int(const char* s, int& out) {
   char* end = nullptr;
+  errno = 0;
   const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0') return false;
+  if (end == s || *end != '\0' || errno == ERANGE ||
+      v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    return false;
+  }
   out = static_cast<int>(v);
   return true;
 }
@@ -402,6 +416,13 @@ int run_tool(const std::vector<std::string>& args,
         int ms = 0;
         if (!parse_int(args[++i].c_str(), ms) || ms < 0) return usage();
         budget_ms = ms;
+      } else if (args[i] == "--backtrack-limit" && i + 1 < args.size()) {
+        if (!parse_int(args[++i].c_str(), opt.backtrack_limit) ||
+            opt.backtrack_limit < 0) {
+          std::fprintf(stderr, "--backtrack-limit must be >= 0 (got %s)\n",
+                       args[i].c_str());
+          return usage();
+        }
       } else if (args[i] == "--retry-aborted") {
         opt.retry_aborted = true;
       } else {
